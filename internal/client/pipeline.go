@@ -13,6 +13,7 @@ import (
 	"github.com/minoskv/minos/internal/kv"
 	"github.com/minoskv/minos/internal/mem"
 	"github.com/minoskv/minos/internal/nic"
+	"github.com/minoskv/minos/internal/ring"
 	"github.com/minoskv/minos/internal/wire"
 )
 
@@ -59,9 +60,11 @@ type Pipeline struct {
 
 	start sync.Once
 	stop  chan struct{}
-	wake  chan struct{}
-	wg    sync.WaitGroup
-	once  sync.Once
+	// bell is what the receiver parks on when nothing has been in flight
+	// for ring.SpinBound; a submit rings it after inserting its request.
+	bell *ring.Doorbell
+	wg   sync.WaitGroup
+	once sync.Once
 }
 
 // PipelineConfig parameterizes a Pipeline. Zero fields take defaults.
@@ -89,9 +92,10 @@ const DefaultWindow = 32
 // the public facade re-exports.
 var ErrTimeout = apierr.ErrTimeout
 
-// receiver tuning: how long one RecvBatch waits when the mailbox is
-// empty, how many frames it drains per call, and how often the pending
-// map is scanned for expired deadlines and cancelled contexts.
+// receiver tuning: the longest one RecvBatch may wait (the transport polls,
+// then parks on its own notification; this only bounds the park so that
+// deadlines get scanned), how many frames it drains per call, and how often
+// the pending map is scanned for expired deadlines and cancelled contexts.
 const (
 	recvPoll      = time.Millisecond
 	recvBatch     = 64
@@ -122,7 +126,7 @@ func NewPipeline(tr nic.ClientTransport, queues int, cfg PipelineConfig) *Pipeli
 		pending: make(map[uint64]*pendingCall),
 		tokens:  make([]chan struct{}, queues),
 		stop:    make(chan struct{}),
-		wake:    make(chan struct{}, 1),
+		bell:    ring.NewDoorbell(),
 	}
 	for i := range p.tokens {
 		p.tokens[i] = make(chan struct{}, cfg.Window)
@@ -318,11 +322,15 @@ type PipelineStats struct {
 	InFlight  int    // currently pending requests
 }
 
+func (p *Pipeline) inFlight() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.pending)
+}
+
 // Stats snapshots the counters.
 func (p *Pipeline) Stats() PipelineStats {
-	p.mu.Lock()
-	inflight := len(p.pending)
-	p.mu.Unlock()
+	inflight := p.inFlight()
 	return PipelineStats{
 		Sent:      p.sent.Load(),
 		Completed: p.completed.Load(),
@@ -552,12 +560,7 @@ func (p *Pipeline) submitCall(ctx context.Context, call *Call, op wire.Op, key, 
 	p.mu.Lock()
 	p.pending[call.ID] = pc
 	p.mu.Unlock()
-	// Rouse the receiver if it parked on an empty pipeline; the buffered
-	// channel makes the signal stick even if it is mid-check.
-	select {
-	case p.wake <- struct{}{}:
-	default:
-	}
+	p.bell.Ring() // rouse the receiver if it parked on an empty pipeline
 	if err := p.tr.SendBatch(q, call.tx); err != nil {
 		p.abandon(call, err)
 		return call
@@ -629,6 +632,7 @@ func (p *Pipeline) receiverLoop() {
 	// their leased body into it, recycled by the Reset below.
 	var scratch wire.Message
 	nextExpire := time.Now().Add(expireScan)
+	var idle ring.Idle
 	for {
 		select {
 		case <-p.stop:
@@ -636,22 +640,30 @@ func (p *Pipeline) receiverLoop() {
 			return
 		default:
 		}
-		// With nothing in flight there is nothing to receive or expire:
-		// park until a submit signals instead of polling the transport.
-		// Stale frames for long-gone requests wait in the transport
-		// until the next activity, where they are drained and counted.
-		p.mu.Lock()
-		idle := len(p.pending) == 0
-		p.mu.Unlock()
-		if idle {
-			select {
-			case <-p.wake:
-			case <-p.stop:
-				p.failAll(apierr.ErrClosed)
-				return
+		// With nothing in flight nothing can expire and the next event is
+		// a submit: keep reading the transport, without waiting in it and
+		// yielding in between, for ring.SpinBound (a reply that is late
+		// by less is still counted stale at once), then park on the
+		// doorbell submits ring. Stale frames that arrive during the park
+		// wait in the transport until the next submit, where they are
+		// drained and counted.
+		wait := recvPoll
+		if p.inFlight() > 0 {
+			idle.Reset()
+		} else if idle.Spin() {
+			wait = 0
+		} else {
+			p.bell.Arm()
+			if p.inFlight() == 0 {
+				select {
+				case <-p.bell.C():
+				case <-p.stop:
+				}
 			}
+			p.bell.Disarm()
+			continue
 		}
-		n := p.tr.RecvBatch(bufs, recvPoll)
+		n := p.tr.RecvBatch(bufs, wait)
 		for i := 0; i < n; i++ {
 			frame := bufs[i]
 			id, ok := wire.PeekReqID(frame)

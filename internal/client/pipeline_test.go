@@ -453,3 +453,29 @@ func TestPipelineValueTooLarge(t *testing.T) {
 		t.Fatalf("oversized put consumed pipeline state: %+v", st)
 	}
 }
+
+// TestPipelineCloseWithParkedReceiver: after a silence the receiver is
+// parked on the pipeline's doorbell, with nothing in flight to time out;
+// Close must reach it through the stop channel the park also selects on.
+func TestPipelineCloseWithParkedReceiver(t *testing.T) {
+	ft := newFakePipe()
+	ft.onSend = func(id uint64, _ int) { ft.pushReply(id, []byte("v")) }
+	p := NewPipeline(ft, 1, PipelineConfig{Timeout: 5 * time.Second})
+	if _, err := p.Get(context.Background(), []byte("k")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(60 * time.Millisecond) // long against ring.SpinBound
+	// A submit must rouse it again...
+	if _, err := p.Get(context.Background(), []byte("k")); err != nil {
+		t.Fatalf("request after the receiver parked: %v", err)
+	}
+	time.Sleep(60 * time.Millisecond)
+	// ...and so must Close.
+	closed := make(chan struct{})
+	go func() { p.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close did not return with the receiver parked")
+	}
+}

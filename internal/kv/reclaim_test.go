@@ -203,3 +203,27 @@ func TestReclaimThresholdTriggersInline(t *testing.T) {
 		t.Fatalf("retired backlog %d never reclaimed inline (threshold %d)", backlog, retireThreshold)
 	}
 }
+
+// TestLargeBuffersStayUnderLargeValues checks that recycling does not hand
+// a buffer that held a large value to a small PUT: the large PUT that
+// follows would allocate again, and every round of the mix would leave one
+// more large buffer behind under a small value.
+func TestLargeBuffersStayUnderLargeValues(t *testing.T) {
+	s := newRecycleStore(t)
+	large := make([]byte, 64*maxSmallValue)
+	small := []byte("seven b")
+	for round := 0; round < 200; round++ {
+		s.Put([]byte("large"), large)
+		s.ReclaimRetired() // the replaced large item is in a pool from here
+		for i := 0; i < 8; i++ {
+			s.Put([]byte(fmt.Sprintf("small-%d", (round*8+i)%64)), small)
+		}
+		s.ReclaimRetired()
+	}
+	s.Range(func(it *Item) bool {
+		if len(it.Value) <= maxSmallValue && cap(it.Value) > maxSmallValue {
+			t.Errorf("%q: a %d-byte value sits in a %d-byte buffer", it.Key, len(it.Value), cap(it.Value))
+		}
+		return true
+	})
+}

@@ -14,15 +14,28 @@ import (
 // for NIC RX queues (many clients, one draining core at a time) and client
 // mailboxes (several server cores may reply concurrently). Overflowing a
 // ring drops the frame and counts it, as the hardware would.
+//
+// Nothing here sleeps on a timer to wait for a frame. Each RX queue rings
+// the doorbell the server steered it to (SetRxBell) and each mailbox rings
+// its client's, after the enqueue and only when the waiter is armed, so a
+// send to a polling peer costs one atomic load more than the enqueue.
 type Fabric struct {
-	rx      []*ring.MPMC[Frame]
-	mailbox []*ring.MPMC[Frame]
-	drops   atomic.Uint64
-	closed  atomic.Bool
-	rttNs   atomic.Int64
+	rx     []*ring.MPMC[Frame]
+	rxBell []atomic.Pointer[ring.Doorbell]
+	drops  atomic.Uint64
+	closed atomic.Bool
+	rttNs  atomic.Int64
 
-	mu      sync.Mutex
-	clients int
+	// mailboxes is indexed by client id and published copy-on-write, so
+	// the reply path reads it without a lock; mu serializes NewClient.
+	mu        sync.Mutex
+	mailboxes atomic.Pointer[[]*mailbox]
+}
+
+// mailbox is one client's reply ring and the doorbell its receiver parks on.
+type mailbox struct {
+	q    *ring.MPMC[Frame]
+	bell *ring.Doorbell
 }
 
 // Queue capacities: RX rings match the simulator's default; mailboxes are
@@ -35,10 +48,14 @@ const (
 // NewFabric returns a fabric with the given number of server RX queues.
 // Clients attach with NewClient.
 func NewFabric(queues int) *Fabric {
-	f := &Fabric{rx: make([]*ring.MPMC[Frame], queues)}
+	f := &Fabric{
+		rx:     make([]*ring.MPMC[Frame], queues),
+		rxBell: make([]atomic.Pointer[ring.Doorbell], queues),
+	}
 	for i := range f.rx {
 		f.rx[i] = ring.NewMPMC[Frame](fabricRxCap)
 	}
+	f.mailboxes.Store(new([]*mailbox))
 	return f
 }
 
@@ -63,11 +80,11 @@ func (f *Fabric) Server() ServerTransport { return (*fabricServer)(f) }
 func (f *Fabric) NewClient() ClientTransport {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	id := f.clients
-	f.clients++
-	mb := ring.NewMPMC[Frame](fabricMailboxCap)
-	f.mailbox = append(f.mailbox, mb)
-	return &fabricClient{f: f, id: uint64(id), mb: mb}
+	old := *f.mailboxes.Load()
+	mb := &mailbox{q: ring.NewMPMC[Frame](fabricMailboxCap), bell: ring.NewDoorbell()}
+	next := append(old[:len(old):len(old)], mb)
+	f.mailboxes.Store(&next)
+	return &fabricClient{f: f, id: uint64(len(old)), mb: mb}
 }
 
 type fabricServer Fabric
@@ -80,6 +97,8 @@ func (s *fabricServer) Recv(q int, out []Frame) int {
 	}
 	return s.rx[q].DequeueBatch(out)
 }
+
+func (s *fabricServer) SetRxBell(q int, bell *ring.Doorbell) { s.rxBell[q].Store(bell) }
 
 // replyDue stamps the emulated delivery time for a reply sent now.
 func (s *fabricServer) replyDue() int64 {
@@ -102,10 +121,11 @@ func (s *fabricServer) Send(_ int, dst Endpoint, frame *mem.Buf) error {
 		frame.Release() // unknown client: silently dropped, like the network
 		return nil
 	}
-	if !mb.Enqueue(Frame{Data: frame.Data, buf: frame, due: s.replyDue()}) {
+	if !mb.q.Enqueue(Frame{Data: frame.Data, buf: frame, due: s.replyDue()}) {
 		s.drops.Add(1)
 		frame.Release()
 	}
+	mb.bell.Ring()
 	return nil
 }
 
@@ -123,11 +143,12 @@ func (s *fabricServer) SendBatch(_ int, dst Endpoint, frames []*mem.Buf) error {
 	}
 	due := s.replyDue()
 	for _, frame := range frames {
-		if !mb.Enqueue(Frame{Data: frame.Data, buf: frame, due: due}) {
+		if !mb.q.Enqueue(Frame{Data: frame.Data, buf: frame, due: due}) {
 			s.drops.Add(1)
 			frame.Release()
 		}
 	}
+	mb.bell.Ring()
 	return nil
 }
 
@@ -137,24 +158,37 @@ func releaseAll(frames []*mem.Buf) {
 	}
 }
 
-func (s *fabricServer) mailboxFor(dst Endpoint) *ring.MPMC[Frame] {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if int(dst.ID) < len(s.mailbox) {
-		return s.mailbox[dst.ID]
+func (s *fabricServer) mailboxFor(dst Endpoint) *mailbox {
+	if mbs := *s.mailboxes.Load(); dst.ID < uint64(len(mbs)) {
+		return mbs[dst.ID]
 	}
 	return nil
 }
 
+// Close marks the fabric closed and rings every doorbell: closed is one of
+// the sources a parked waiter re-polls, so none outlives the fabric.
 func (s *fabricServer) Close() error {
 	s.closed.Store(true)
+	for i := range s.rxBell {
+		if bell := s.rxBell[i].Load(); bell != nil {
+			bell.Ring()
+		}
+	}
+	for _, mb := range *s.mailboxes.Load() {
+		mb.bell.Ring()
+	}
 	return nil
 }
 
 type fabricClient struct {
 	f  *Fabric
 	id uint64
-	mb *ring.MPMC[Frame]
+	mb *mailbox
+
+	// idle and timer belong to the single receiver: how long it has
+	// polled an empty mailbox, and the one timer that bounds its parks.
+	idle  ring.Idle
+	timer *time.Timer
 
 	// stash holds a dequeued frame whose emulated delivery time has not
 	// arrived yet. Receiving is single-consumer (one receiver goroutine
@@ -169,7 +203,7 @@ func (c *fabricClient) take() (Frame, bool) {
 		c.hasStash = false
 		return c.stash, true
 	}
-	return c.mb.Dequeue()
+	return c.mb.q.Dequeue()
 }
 
 func (c *fabricClient) Endpoint() Endpoint { return Endpoint{ID: c.id} }
@@ -187,7 +221,15 @@ func (c *fabricClient) Send(q int, frame *mem.Buf) error {
 		c.f.drops.Add(1)
 		frame.Release()
 	}
+	c.ringRx(q)
 	return nil
+}
+
+// ringRx wakes whoever drains RX queue q, if it is parked.
+func (c *fabricClient) ringRx(q int) {
+	if bell := c.f.rxBell[q].Load(); bell != nil {
+		bell.Ring()
+	}
 }
 
 // SendBatch enqueues every frame onto the RX ring in order. Misdirected
@@ -209,13 +251,19 @@ func (c *fabricClient) SendBatch(q int, frames []*mem.Buf) error {
 			frame.Release()
 		}
 	}
+	c.ringRx(q)
 	return nil
 }
 
+// Recv waits up to timeout for one reply frame. It polls the mailbox,
+// yielding between polls, until ring.SpinBound has passed since a frame
+// last arrived, and only then parks on the mailbox doorbell, bounded by
+// what is left of timeout.
 func (c *fabricClient) Recv(buf []byte, timeout time.Duration) (int, bool) {
 	deadline := time.Now().Add(timeout)
-	for spins := 0; ; spins++ {
+	for {
 		if frame, ok := c.take(); ok {
+			c.idle.Reset()
 			if frame.due > 0 && time.Now().UnixNano() < frame.due {
 				if time.Unix(0, frame.due).After(deadline) {
 					// Not deliverable before the caller's deadline: keep
@@ -242,18 +290,39 @@ func (c *fabricClient) Recv(buf []byte, timeout time.Duration) (int, bool) {
 			frame.Release()
 			return n, true
 		}
-		if c.f.closed.Load() || time.Now().After(deadline) {
+		left := time.Until(deadline)
+		if c.f.closed.Load() || left <= 0 {
 			return 0, false
 		}
-		if spins < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(10 * time.Microsecond)
+		if c.idle.Spin() {
+			continue
 		}
+		c.park(left)
 	}
 }
 
-// RecvBatch blocks (briefly) for the first frame like Recv, then drains the
+// park blocks until the mailbox doorbell rings or d passes. The re-poll
+// between Arm and the block covers both things a ring can mean: a frame in
+// the mailbox, or the fabric closing.
+func (c *fabricClient) park(d time.Duration) {
+	bell := c.mb.bell
+	bell.Arm()
+	if c.mb.q.Len() == 0 && !c.f.closed.Load() {
+		if c.timer == nil {
+			c.timer = time.NewTimer(d)
+		} else {
+			c.timer.Reset(d)
+		}
+		select {
+		case <-bell.C():
+		case <-c.timer.C:
+		}
+		c.timer.Stop()
+	}
+	bell.Disarm()
+}
+
+// RecvBatch waits for the first frame like Recv, then drains the
 // mailbox without blocking, so a burst of replies costs one wait. Frames
 // whose emulated delivery time has not arrived stay pending.
 func (c *fabricClient) RecvBatch(out [][]byte, timeout time.Duration) int {

@@ -6,6 +6,7 @@ import (
 
 	"github.com/minoskv/minos/internal/apierr"
 	"github.com/minoskv/minos/internal/mem"
+	"github.com/minoskv/minos/internal/ring"
 )
 
 // Endpoint identifies a client for replies. ID is stable and unique per
@@ -56,7 +57,9 @@ func (f *Frame) TakeBuf() *mem.Buf {
 
 // ServerTransport is the server side of the multi-queue network: Recv
 // drains an RX queue without blocking; Send transmits a reply frame from
-// the given queue's TX path.
+// the given queue's TX path. A core that has polled long enough for nothing
+// (ring.SpinBound) parks on a doorbell, and SetRxBell is how the transport
+// learns which one an arrival on each queue must ring.
 //
 // Buffer ownership: Send and SendBatch take ownership of every *mem.Buf
 // passed in — the transport forwards the lease (fabric) or writes and
@@ -70,6 +73,11 @@ type ServerTransport interface {
 	// returns the count. It never blocks. The caller owns each returned
 	// frame's buffer and must Release it.
 	Recv(q int, out []Frame) int
+	// SetRxBell steers queue q's arrival notifications: from now on a
+	// frame that becomes receivable on q rings bell if it is armed. The
+	// server points each queue at the core that drains it and re-points
+	// them when the plan moves a queue to another core.
+	SetRxBell(q int, bell *ring.Doorbell)
 	// Send transmits one frame to dst from queue q's TX side, taking
 	// ownership of the buffer.
 	Send(q int, dst Endpoint, frame *mem.Buf) error

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/minoskv/minos/internal/mem"
+	"github.com/minoskv/minos/internal/ring"
 	"github.com/minoskv/minos/internal/wire"
 )
 
@@ -16,11 +17,14 @@ import (
 // kernel demultiplexes by port exactly as the paper's NIC steers by RSS
 // hash of the port (§5.1). Each queue's socket doubles as that core's TX
 // path, preserving per-core TX ordering.
+//
+// Recv never blocks; a core that parks is woken through the rxWaker.
 type UDPServer struct {
 	conns []*net.UDPConn
 	// raws are the per-queue non-blocking drain readers (nil off Linux);
 	// see rawUDP for why deadline probes are not enough.
-	raws []*rawUDP
+	raws  []*rawUDP
+	waker *rxWaker
 	// ids interns client addresses to stable Endpoints so the server's
 	// reassemblers and accounting can key on uint64 and so the boxed
 	// Addr (an interface holding netip.AddrPort) is allocated once per
@@ -37,57 +41,56 @@ func NewUDPServer(host string, basePort, queues int) (*UDPServer, error) {
 		addr := &net.UDPAddr{IP: net.ParseIP(host), Port: basePort + q}
 		conn, err := net.ListenUDP("udp", addr)
 		if err != nil {
-			s.Close()
+			for _, c := range s.conns {
+				c.Close()
+			}
 			return nil, fmt.Errorf("nic: binding queue %d on %v: %w", q, addr, err)
 		}
 		s.conns = append(s.conns, conn)
 		s.raws = append(s.raws, newRawUDP(conn))
 	}
+	s.waker = newRxWaker(s.raws)
 	return s, nil
 }
 
 // Queues returns the RX queue count.
 func (s *UDPServer) Queues() int { return len(s.conns) }
 
-// Recv drains up to len(out) datagrams from queue q without blocking
-// beyond a very short poll deadline. Each datagram is read directly into a
-// leased buffer whose ownership passes to the caller with the frame; a
-// poll miss hands the unused lease straight back.
+// SetRxBell steers queue q's arrivals to bell.
+func (s *UDPServer) SetRxBell(q int, bell *ring.Doorbell) { s.waker.steer(q, bell) }
+
+// Recv drains up to len(out) datagrams from queue q without blocking.
+// Each datagram is read directly into a leased buffer whose ownership
+// passes to the caller with the frame; a miss hands the unused lease
+// straight back.
 func (s *UDPServer) Recv(q int, out []Frame) int {
-	conn, raw := s.conns[q], s.raws[q]
 	got := 0
 	for got < len(out) {
 		buf := mem.Lease(wire.MTU)
-		// Non-blocking raw read first: follow-up reads in a batch and
-		// the common already-ready case consume datagrams without ever
-		// arming a deadline (a deadline miss allocates a *net.OpError).
-		if n, addr, ok := raw.tryRecv(buf.Data); ok {
-			out[got] = Frame{Src: s.endpointFor(addr), Data: buf.Data[:n], buf: buf}
-			got++
-			continue
-		}
-		if got > 0 || raw == nil {
-			// Batch drained — or no raw path, where a nanosecond
-			// deadline is the portable probe.
-			if raw != nil {
-				buf.Release()
-				break
-			}
-			_ = conn.SetReadDeadline(time.Now().Add(time.Nanosecond))
-		} else {
-			// Nothing ready: wait briefly on the poller so an idle
-			// server does not spin a CPU.
-			_ = conn.SetReadDeadline(time.Now().Add(50 * time.Microsecond))
-		}
-		n, addr, err := conn.ReadFromUDPAddrPort(buf.Data)
-		if err != nil {
+		n, addr, ok := tryRecv(s.raws[q], s.conns[q], buf.Data)
+		if !ok {
 			buf.Release()
 			break
 		}
 		out[got] = Frame{Src: s.endpointFor(addr), Data: buf.Data[:n], buf: buf}
 		got++
 	}
+	if got == 0 {
+		s.waker.emptyPoll(q)
+	}
 	return got
+}
+
+// tryRecv is one non-blocking read of a socket: the raw path on Linux, and
+// elsewhere a read against a deadline already past, which costs a
+// *net.OpError per miss.
+func tryRecv(raw *rawUDP, conn *net.UDPConn, buf []byte) (int, netip.AddrPort, bool) {
+	if raw != nil {
+		return raw.tryRecv(buf)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(time.Nanosecond))
+	n, addr, err := conn.ReadFromUDPAddrPort(buf)
+	return n, addr, err == nil
 }
 
 func (s *UDPServer) endpointFor(addr netip.AddrPort) Endpoint {
@@ -134,16 +137,15 @@ func (s *UDPServer) SendBatch(q int, dst Endpoint, frames []*mem.Buf) error {
 	return nil
 }
 
-// Close closes every socket.
+// Close closes every socket and waits for the watchers to exit.
 func (s *UDPServer) Close() error {
 	var first error
 	for _, c := range s.conns {
-		if c != nil {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
+		if err := c.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
+	s.waker.close()
 	return first
 }
 
@@ -153,6 +155,7 @@ type UDPClient struct {
 	raw      *rawUDP // non-blocking drain reader (nil off Linux)
 	host     netip.Addr
 	basePort int
+	idle     ring.Idle // the single receiver's: how long it has polled for nothing
 }
 
 // NewUDPClient dials toward a UDPServer at host:basePort.
@@ -204,45 +207,57 @@ func (c *UDPClient) SendBatch(q int, frames []*mem.Buf) error {
 
 // Recv waits up to timeout for one reply datagram.
 func (c *UDPClient) Recv(buf []byte, timeout time.Duration) (int, bool) {
-	_ = c.conn.SetReadDeadline(time.Now().Add(timeout))
-	n, _, err := c.conn.ReadFromUDPAddrPort(buf)
-	if err != nil {
+	one := [1][]byte{buf}
+	if c.RecvBatch(one[:], timeout) == 0 {
 		return 0, false
 	}
-	return n, true
+	return len(one[0]), true
 }
 
-// RecvBatch waits up to timeout for the first datagram, then drains
-// immediately available ones. The follow-up reads use a nanosecond
-// deadline, so a burst of replies costs one long wait and one deadline
-// update instead of a SetReadDeadline syscall pair per datagram.
+// RecvBatch waits up to timeout for the first datagram, then drains the
+// immediately available ones. The wait is the datapath's one discipline:
+// non-blocking reads, yielding in between, until ring.SpinBound has passed
+// since a datagram last arrived, and only then one blocking netpoller read
+// against the caller's deadline — the kernel is the producer here, and the
+// netpoller is its doorbell.
 func (c *UDPClient) RecvBatch(out [][]byte, timeout time.Duration) int {
-	got := 0
-	for got < len(out) {
-		// Raw non-blocking read first: already-ready replies and the
-		// batch-draining probe stay off the deadline path, whose expiry
-		// allocates a *net.OpError per miss.
-		if n, _, ok := c.raw.tryRecv(out[got][:cap(out[got])]); ok {
-			out[got] = out[got][:n]
-			got++
-			continue
+	if len(out) == 0 {
+		return 0
+	}
+	deadline := time.Now().Add(timeout)
+	for c.raw != nil {
+		if got := c.drain(out); got > 0 {
+			c.idle.Reset()
+			return got
 		}
-		if got > 0 {
-			if c.raw != nil {
-				break // batch drained without arming a deadline
-			}
-			_ = c.conn.SetReadDeadline(time.Now().Add(time.Nanosecond))
-		} else {
-			_ = c.conn.SetReadDeadline(time.Now().Add(timeout))
+		if !time.Now().Before(deadline) {
+			return 0
 		}
-		n, _, err := c.conn.ReadFromUDPAddrPort(out[got][:cap(out[got])])
-		if err != nil {
+		if !c.idle.Spin() {
 			break
 		}
-		out[got] = out[got][:n]
-		got++
 	}
-	return got
+	_ = c.conn.SetReadDeadline(deadline)
+	n, _, err := c.conn.ReadFromUDPAddrPort(out[0][:cap(out[0])])
+	if err != nil {
+		return 0
+	}
+	c.idle.Reset()
+	out[0] = out[0][:n]
+	return 1 + c.drain(out[1:])
+}
+
+// drain fills out with the datagrams that are already there.
+func (c *UDPClient) drain(out [][]byte) int {
+	for got := range out {
+		buf := out[got][:cap(out[got])]
+		n, _, ok := tryRecv(c.raw, c.conn, buf)
+		if !ok {
+			return got
+		}
+		out[got] = buf[:n]
+	}
+	return len(out)
 }
 
 // Close closes the socket.

@@ -13,4 +13,8 @@
 // Both are bounded: Enqueue reports failure when full instead of blocking,
 // matching hardware queue semantics — callers decide whether a full queue
 // means drop (NIC) or retry (software handoff).
+//
+// Rings never block, so the package also holds the one way a consumer
+// waits for them: Idle (poll for SpinBound after the last work) and
+// Doorbell (then park until a producer rings).
 package ring

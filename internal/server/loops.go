@@ -2,41 +2,67 @@ package server
 
 import (
 	"errors"
-	"runtime"
 	"time"
 
 	"github.com/minoskv/minos/internal/core"
 	"github.com/minoskv/minos/internal/nic"
+	"github.com/minoskv/minos/internal/ring"
 	"github.com/minoskv/minos/internal/wire"
 )
 
 // coreLoop is one polling core. The loop structure mirrors the paper's
 // run-to-completion processing: drain the software queue, then the RX
-// queues the design assigns to this core, then yield briefly if nothing
-// was found (the paper's cores spin; on shared hardware we must yield).
+// queues the design assigns to this core. The paper's cores spin forever;
+// on shared hardware a core keeps polling, yielding between polls, until
+// ring.SpinBound has passed since it last found work, then parks on its
+// doorbell until someone has work for it.
 func (s *Server) coreLoop(c *coreState) {
 	defer s.wg.Done()
 	defer c.reader.Close()
 	frames := make([]nic.Frame, s.cfg.Batch)
-	idleSpins := 0
+	var idle ring.Idle
 	for !s.stopped() {
-		// The pin covers the whole iteration: every item this core finds
-		// (including the reply encode that aliases item values) happens
-		// between Pin and Unpin, so the store's recycler leaves those
-		// items alone. One atomic store each way.
-		c.reader.Pin()
-		did := s.drainSwq(c)
-		did += s.drainRx(c, frames)
-		c.reader.Unpin()
-		if did == 0 {
-			idleSpins++
-			if idleSpins < 32 {
-				runtime.Gosched()
-			} else {
-				time.Sleep(20 * time.Microsecond)
-			}
-		} else {
-			idleSpins = 0
+		if s.poll(c, frames) > 0 {
+			idle.Reset()
+		} else if !idle.Spin() {
+			s.park(c, frames)
+		}
+	}
+}
+
+// poll is one iteration of the core: everything it drains, once.
+func (s *Server) poll(c *coreState, frames []nic.Frame) int {
+	// The pin covers the whole iteration: every item this core finds
+	// (including the reply encode that aliases item values) happens
+	// between Pin and Unpin, so the store's recycler leaves those
+	// items alone. One atomic store each way.
+	c.reader.Pin()
+	did := s.drainSwq(c)
+	did += s.drainRx(c, frames)
+	c.reader.Unpin()
+	return did
+}
+
+// park blocks the core until its doorbell rings or the server stops. The
+// poll between Arm and the block is the doorbell protocol's re-check, and
+// being a whole iteration it covers every source by construction.
+func (s *Server) park(c *coreState, frames []nic.Frame) {
+	c.bell.Arm()
+	if s.poll(c, frames) == 0 {
+		select {
+		case <-c.bell.C():
+		case <-s.stop:
+		}
+	}
+	c.bell.Disarm()
+}
+
+// ringIdle wakes one parked core among cores[lo:hi] other than c, for work
+// c queued on its own ring that any of them may take.
+func (s *Server) ringIdle(c *coreState, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if i != c.id && s.cores[i].bell.Ring() {
+			return
 		}
 	}
 }
@@ -176,6 +202,7 @@ func (s *Server) drainSHO(c *coreState, frames []nic.Frame) int {
 				s.swDrops.Add(1)
 				msg.Release()
 			}
+			s.ringIdle(c, h, len(s.cores)) // a parked worker, if any
 			did++
 		}
 		return did
@@ -238,6 +265,7 @@ func (s *Server) processFrame(c *coreState, fr *nic.Frame) {
 				s.swDrops.Add(1)
 				msg.Release()
 			}
+			s.ringIdle(c, 0, len(s.cores)) // a parked thief, if any
 			return
 		}
 		s.serve(c, fr.Src, msg)
@@ -373,8 +401,8 @@ func (s *Server) replyTooLarge(c *coreState, src nic.Endpoint, h *wire.Header) {
 // work's owned resources when the ring is full (the request is dropped, so
 // nobody else will).
 func (s *Server) routeLarge(plan *core.Plan, size int64, w work) {
-	target := plan.LargeCoreID(plan.LargeIndexFor(size))
-	if !s.cores[target].swq.Enqueue(w) {
+	target := &s.cores[plan.LargeCoreID(plan.LargeIndexFor(size))]
+	if !target.swq.Enqueue(w) {
 		s.swDrops.Add(1)
 		if w.msg != nil {
 			w.msg.Release()
@@ -383,6 +411,7 @@ func (s *Server) routeLarge(plan *core.Plan, size int64, w work) {
 			w.fragBuf.Release()
 		}
 	}
+	target.bell.Ring()
 }
 
 // recordSize updates the per-core profiling histogram (§3).

@@ -135,6 +135,13 @@ type coreState struct {
 	swq   *ring.MPMC[work]
 	reasm *wire.Reassembler
 
+	// bell is what the core parks on once it has polled for ring.SpinBound
+	// and found nothing. Everything that can hand this core work rings it:
+	// the RX queues steered to it (steerRx), enqueues on a software ring it
+	// consumes, a plan that changes its role, and Stop through the stop
+	// channel the park also selects on.
+	bell *ring.Doorbell
+
 	// reader is this core's reclamation guard: pinned for the span of
 	// each polling-loop iteration, so items the core found via Find stay
 	// valid through reply encoding (kv recycling, see kv/reclaim.go).
@@ -239,6 +246,7 @@ func New(cfg Config, tr nic.ServerTransport) (*Server, error) {
 		c := &s.cores[i]
 		c.id = i
 		c.swq = ring.NewMPMC[work](swqCap)
+		c.bell = ring.NewDoorbell()
 		c.reasm = wire.NewReassembler(0)
 		c.sizeHist = ctrl.NewSizeHistogram()
 		c.reader = store.AcquireReader()
@@ -309,6 +317,7 @@ func (s *Server) OnPlan(fn func(core.Plan)) {
 // Start launches the core and controller goroutines (plus the WAL
 // snapshot loop on durable servers).
 func (s *Server) Start() {
+	s.steerRx(s.plan.Load())
 	for i := range s.cores {
 		s.wg.Add(1)
 		go s.coreLoop(&s.cores[i])
@@ -386,6 +395,20 @@ func (s *Server) walSnapshot() {
 			return emit(it.Key, it.Value, it.Expire)
 		})
 	})
+}
+
+// steerRx points every RX queue's doorbell at the core that drains it
+// under plan. Size-unaware designs drain their own queue. On Minos a small
+// core's queue is its own, and a large core's queue, which every small core
+// polls while awake, wakes one of them, spread by queue number.
+func (s *Server) steerRx(plan *core.Plan) {
+	for q := range s.cores {
+		owner := q
+		if s.cfg.Design == Minos && !plan.IsSmallCore(q) {
+			owner = q % plan.NumSmall
+		}
+		s.tr.SetRxBell(q, s.cores[owner].bell)
+	}
 }
 
 func (s *Server) stopped() bool {
@@ -497,7 +520,16 @@ func (s *Server) controlLoop() {
 				c.histMu.Unlock()
 			}
 			plan := s.ctrl.Epoch(agg)
-			s.plan.Store(&plan)
+			old := s.plan.Swap(&plan)
+			if plan.NumSmall != old.NumSmall {
+				// A core changed role, so some RX queue changed hands:
+				// re-steer the doorbells, then wake everyone, so that
+				// frames which rang the old owner are found by the new.
+				s.steerRx(&plan)
+				for i := range s.cores {
+					s.cores[i].bell.Ring()
+				}
+			}
 			if fn := s.planHook.Load(); fn != nil {
 				(*fn)(plan)
 			}

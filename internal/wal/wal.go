@@ -104,7 +104,11 @@ type Log struct {
 	opts Options
 
 	ring *ring.MPMC[*mem.Buf]
-	kick chan struct{}
+	// bell is what the writer parks on when the ring is empty. It parks
+	// at once, with no ring.SpinBound of polling first: it is write-behind,
+	// nobody waits for it, and a wake-up that comes late costs ring depth,
+	// not latency.
+	bell *ring.Doorbell
 
 	stop    chan struct{} // graceful: drain, flush, sync, close
 	abrupt  chan struct{} // Abandon: drop everything on the floor
@@ -158,7 +162,7 @@ func Open(opts Options) (*Log, error) {
 	l := &Log{
 		opts:    opts,
 		ring:    ring.NewMPMC[*mem.Buf](opts.RingSize),
-		kick:    make(chan struct{}, 1),
+		bell:    ring.NewDoorbell(),
 		stop:    make(chan struct{}),
 		abrupt:  make(chan struct{}),
 		done:    make(chan struct{}),
@@ -250,10 +254,7 @@ func (l *Log) append(op byte, key, value []byte, expire int64) {
 	}
 	l.appended.Add(1)
 	l.lag.Add(int64(n))
-	select {
-	case l.kick <- struct{}{}:
-	default:
-	}
+	l.bell.Ring()
 }
 
 // Sync drains everything appended so far to the file and fsyncs it —
@@ -356,6 +357,14 @@ func (l *Log) writer() {
 			}
 			continue
 		}
+		l.bell.Arm()
+		if l.ring.Len() > 0 {
+			// Len counts a slot from the moment a producer claims it:
+			// yield, in case that producer still has to publish.
+			l.bell.Disarm()
+			runtime.Gosched()
+			continue
+		}
 		select {
 		case <-l.abrupt:
 			l.f.Close()
@@ -374,12 +383,13 @@ func (l *Log) writer() {
 			l.flushSync()
 			err := l.rotate()
 			ack <- sealResult{newSeq: l.seq, err: err}
-		case <-l.kick:
+		case <-l.bell.C():
 		case <-tickC:
 			if l.dirty {
 				l.flushSync()
 			}
 		}
+		l.bell.Disarm()
 	}
 }
 
@@ -388,7 +398,11 @@ func (l *Log) writer() {
 // when records arrive in large batches) and applying the per-batch
 // fsync policy.
 func (l *Log) writeBatch(bufs []*mem.Buf) {
-	for _, b := range bufs {
+	for i, b := range bufs {
+		// The batch array outlives the batch: a slot left set would keep
+		// its record reachable, a heap-backed oversize one included, until
+		// that many more had been written.
+		bufs[i] = nil
 		if l.err() == nil {
 			if l.segBytes >= l.opts.SegmentBytes {
 				l.flushSync()

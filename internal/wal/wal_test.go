@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -333,4 +334,37 @@ func TestWALAbandonedTailIsHealedByNextBoot(t *testing.T) {
 	if st.vals["survivor"] != "v" || st.vals["second-boot"] != "v" {
 		t.Fatalf("state across two boots = %v", st.vals)
 	}
+}
+
+// TestWriterDoesNotPinWrittenRecords: the writer's batch array outlives
+// each batch, and used to keep its last 256 records reachable. One oversize
+// record (heap-backed, not pooled) makes that visible: once it is on disk
+// the collector must be able to take it back.
+func TestWriterDoesNotPinWrittenRecords(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const size = 8 << 20
+	value := make([]byte, size)
+	before := heap()
+	l.AppendPut([]byte("big"), value, 0)
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if grew := int64(heap()) - int64(before); grew > size/2 {
+		t.Fatalf("the heap holds %d bytes more after a %d byte record was written and synced: the writer still references it", grew, size)
+	}
+	runtime.KeepAlive(value)
 }
